@@ -68,40 +68,24 @@ std::vector<Variant> variants() {
     Out.push_back(V);
   }
   {
+    // The plan interpreter alone (no fused micro-kernels).
     Variant V{"no_microkernels", {}, {}};
-    V.Exec.EnableMicroKernels = false;
-    Out.push_back(V);
-  }
-  {
-    // Legacy string-membership walker check instead of the algebraic
-    // annihilation analysis (loses walkers under sparse-topped formats
-    // and workspace flushes; identical on the default CSF kernels).
-    Variant V{"no_walker_algebra", {}, {}};
-    V.Exec.AnnihilationAlgebra = false;
+    V.Exec.Engines = {Engine::Interp};
     Out.push_back(V);
   }
   {
     // Fused nests without the register/cache-blocked output engine
     // (per-column fiber walks and rebinds instead of column panels).
     Variant V{"no_blocking", {}, {}};
-    V.Exec.EnableBlocking = false;
+    V.Exec.Engines = {Engine::Fused, Engine::Interp};
     Out.push_back(V);
   }
   {
-    // The typed engine-preference surface (ExecOptions::Engines): the
-    // JIT-compiled whole-body engine first, standard fallback chain
+    // The JIT-compiled whole-body engine first, standard fallback chain
     // behind it. Degrades to fused automatically when no host compiler
     // is available, so the variant always runs.
     Variant V{"engine_native", {}, {}};
     V.Exec.Engines = {Engine::Native, Engine::Fused, Engine::Interp};
-    Out.push_back(V);
-  }
-  {
-    // Pure interpreter spelled through the same typed surface (the
-    // per-loop engines ablated away wholesale rather than via the
-    // deprecated booleans).
-    Variant V{"engine_interp", {}, {}};
-    V.Exec.Engines = {Engine::Interp};
     Out.push_back(V);
   }
   return Out;
@@ -114,16 +98,13 @@ void printSpecialization(const char *Workload, const char *Variant,
                          const Executor &E) {
   const MicroKernelStats &S = E.microKernelStats();
   std::printf("  specialization %-10s %-16s fused=%llu (innermost %llu) "
-              "generic=%llu walkers=%llu (recovered %llu, rejected "
-              "%llu) co=%llu (nway %llu) lut=%llu prebind=%llu "
-              "blocked=%llu (accum %llu)\n",
+              "generic=%llu walkers=%llu co=%llu (nway %llu) lut=%llu "
+              "prebind=%llu blocked=%llu (accum %llu)\n",
               Workload, Variant,
               static_cast<unsigned long long>(S.SpecializedLoops),
               static_cast<unsigned long long>(S.InnermostFused),
               static_cast<unsigned long long>(S.GenericLoops),
               static_cast<unsigned long long>(S.WalkersRegistered),
-              static_cast<unsigned long long>(S.WalkersRecovered),
-              static_cast<unsigned long long>(S.WalkersRejected),
               static_cast<unsigned long long>(S.FusedCoWalkers),
               static_cast<unsigned long long>(S.FusedNWalkerLoops),
               static_cast<unsigned long long>(S.FusedLutFactors),

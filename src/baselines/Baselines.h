@@ -9,8 +9,8 @@
 /// products. These operate directly on the level storage (CSC/CSF:
 /// Dense top level, Sparse below) and are compiled natively, so they
 /// bound what a specializing backend would achieve; the paper's figures
-/// are reproduced as ratios within one execution engine (see
-/// EXPERIMENTS.md).
+/// are reproduced as ratios within one execution engine (the
+/// bench/bench_*.cpp drivers).
 ///
 /// All kernels accumulate into the caller's output.
 ///

@@ -30,50 +30,36 @@ bool parseEngine(const std::string &Name, Engine &Out) {
   return false;
 }
 
-EngineResolution resolveEngines(const std::vector<Engine> &Requested,
-                                bool LegacyMicroKernels,
-                                bool LegacyBlocking) {
+EngineResolution resolveEngines(const std::vector<Engine> &Requested) {
+  static const std::vector<Engine> Default = {Engine::Blocked, Engine::Fused,
+                                              Engine::Interp};
+  const std::vector<Engine> &List = Requested.empty() ? Default : Requested;
   EngineResolution R;
-  if (Requested.empty()) {
-    // Deprecated-shim path: the booleans define the list. Blocking
-    // implies the fused tier (the plan compiler has always treated
-    // EnableBlocking as a refinement of EnableMicroKernels).
-    if (LegacyBlocking && LegacyMicroKernels)
-      R.Order.push_back(Engine::Blocked);
-    if (LegacyMicroKernels)
-      R.Order.push_back(Engine::Fused);
-    R.Order.push_back(Engine::Interp);
-  } else {
-    for (size_t I = 0; I < Requested.size(); ++I) {
-      Engine E = Requested[I];
-      if (std::find(R.Order.begin(), R.Order.end(), E) != R.Order.end())
-        continue; // duplicate
-      if (E == Engine::Native && !R.Order.empty()) {
-        R.Notes.push_back("engines: native is whole-body and only "
-                          "effective as the first preference -> dropped");
-        continue;
-      }
-      R.Order.push_back(E);
+  auto Has = [&R](Engine E) {
+    return std::find(R.Order.begin(), R.Order.end(), E) != R.Order.end();
+  };
+  for (Engine E : List) {
+    if (Has(E))
+      continue; // duplicate
+    if (E == Engine::Native && !R.Order.empty()) {
+      R.Notes.push_back("engines: native is whole-body and only "
+                        "effective as the first preference -> dropped");
+      continue;
     }
-    if (std::find(R.Order.begin(), R.Order.end(), Engine::Blocked) !=
-            R.Order.end() &&
-        std::find(R.Order.begin(), R.Order.end(), Engine::Fused) ==
-            R.Order.end()) {
-      // Blocked engines are specializations of the fused ones; insert
-      // the prerequisite right after Blocked.
-      auto It = std::find(R.Order.begin(), R.Order.end(), Engine::Blocked);
-      R.Order.insert(It + 1, Engine::Fused);
-      R.Notes.push_back("engines: blocked without fused -> fused inserted");
-    }
-    if (std::find(R.Order.begin(), R.Order.end(), Engine::Interp) ==
-        R.Order.end())
-      R.Order.push_back(Engine::Interp);
+    R.Order.push_back(E);
   }
+  if (Has(Engine::Blocked) && !Has(Engine::Fused)) {
+    // Blocked engines are specializations of the fused ones; insert
+    // the prerequisite right after Blocked.
+    auto It = std::find(R.Order.begin(), R.Order.end(), Engine::Blocked);
+    R.Order.insert(It + 1, Engine::Fused);
+    R.Notes.push_back("engines: blocked without fused -> fused inserted");
+  }
+  if (!Has(Engine::Interp))
+    R.Order.push_back(Engine::Interp);
   R.UseNative = R.Order.front() == Engine::Native;
-  R.UseFused = std::find(R.Order.begin(), R.Order.end(), Engine::Fused) !=
-               R.Order.end();
-  R.UseBlocked = std::find(R.Order.begin(), R.Order.end(),
-                           Engine::Blocked) != R.Order.end();
+  R.UseFused = Has(Engine::Fused);
+  R.UseBlocked = Has(Engine::Blocked);
   return R;
 }
 

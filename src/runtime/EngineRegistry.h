@@ -1,12 +1,11 @@
 //===- runtime/EngineRegistry.h - Execution-engine selection --*- C++ -*-===//
 ///
 /// \file
-/// The typed engine-selection surface that replaces the accreting
-/// per-engine booleans on ExecOptions. An execution request names an
-/// ordered preference list of engines; one resolver normalizes it into
-/// the effective engine set the plan compiler and the JIT layer consume,
-/// and renders the canonical summary string used by both
-/// execOptionsSummary and the PlanCache structural key.
+/// The engine-selection surface (ExecOptions::Engines). An execution
+/// request names an ordered preference list of engines; one resolver
+/// normalizes it into the effective engine set the plan compiler and
+/// the JIT layer consume, and renders the canonical summary string used
+/// by both execOptionsSummary and the PlanCache structural key.
 ///
 /// Engine semantics:
 ///  - Interp   — the plan interpreter (runtime/Plan.cpp). Always
@@ -71,7 +70,7 @@ struct EngineResolution {
   /// Whole-body native JIT requested (Order.front() == Native).
   bool UseNative = false;
   /// Per-loop specialization switches derived from membership — what
-  /// the plan compiler consumes (the legacy boolean surface).
+  /// the plan compiler consumes.
   bool UseBlocked = false;
   bool UseFused = false;
   /// Human-readable normalization notes ("engines: blocked without
@@ -80,13 +79,9 @@ struct EngineResolution {
 };
 
 /// Normalizes \p Requested into an EngineResolution. An empty request
-/// derives the list from the legacy booleans (the deprecated-shim path:
-/// EnableBlocking -> Blocked, EnableMicroKernels -> Fused, always
-/// Interp; Native is never derived — it needs a host compiler and must
-/// be asked for by name). A non-empty request wins over the booleans.
-EngineResolution resolveEngines(const std::vector<Engine> &Requested,
-                                bool LegacyMicroKernels,
-                                bool LegacyBlocking);
+/// means the default list blocked>fused>interp (Native is never
+/// implied — it needs a host compiler and must be asked for by name).
+EngineResolution resolveEngines(const std::vector<Engine> &Requested);
 
 /// Canonical rendering of a normalized order ("native>fused>interp").
 /// Deterministic for a given resolution, so it is usable in the

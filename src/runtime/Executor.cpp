@@ -54,12 +54,6 @@ public:
     E.MKStats = Stats;
     E.SpecializeNs = SpecializeNs;
     E.LoopMeta = std::move(LoopMeta);
-    if (countersEnabled()) {
-      counters().LoopsSpecialized += Stats.SpecializedLoops;
-      counters().LoopsGeneric += Stats.GenericLoops;
-      counters().WalkersRecovered += Stats.WalkersRecovered;
-      counters().WalkersRejected += Stats.WalkersRejected;
-    }
   }
 
 private:
@@ -386,10 +380,6 @@ private:
     }
     if (PrivElems * TaskCount > E.Options.PrivatizationBudget)
       return false; // too much accumulator memory; try an inner loop
-    if (E.Options.MemoryBudgetBytes &&
-        PrivElems * TaskCount * sizeof(double) > E.Options.MemoryBudgetBytes)
-      return false; // hard resource ceiling; degrade to an inner
-                    // disjoint-write loop instead of allocating
     std::vector<PlanLoop::PrivScalar> PrivS;
     for (const auto &[Name, Op] : LP.ScalarMergeOps)
       PrivS.push_back(PlanLoop::PrivScalar{scalarSlot(Name), Op,
@@ -479,10 +469,7 @@ private:
     // through scalar defs. Grouped symmetric kernels over two sparse
     // operands still reject the second tensor's mismatched accesses
     // (each statement reads a different access, so no single absence
-    // annihilates them all); those fall back to SparseLoad. The legacy
-    // membership check runs alongside purely for differential
-    // accounting (WalkersRecovered / WalkersRejected) and as the
-    // AnnihilationAlgebra=false ablation mode.
+    // annihilates them all); those fall back to SparseLoad.
     std::vector<unsigned> WalkerIds;
     if (E.Options.EnableSparseWalk) {
       std::vector<ExprPtr> Accesses;
@@ -500,28 +487,9 @@ private:
             St.Indices[St.T->modeOfLevel(D)] != Var)
           continue;
         const LevelKind LK = St.T->level(D).Kind;
-        if (LK != LevelKind::Dense) {
-          const bool Member = accessBacksEveryAssignment(Body, A->str());
-          bool Sound;
-          if (!E.Options.AnnihilationAlgebra) {
-            // Legacy behavior, including its conservatism on the
-            // non-skipping RunLength kind.
-            Sound = Member;
-          } else if (LK == LevelKind::RunLength) {
-            Sound = true; // runs tile the extent; nothing is skipped
-            if (!Member)
-              ++Stats.WalkersRecovered;
-          } else {
-            Sound = accessAnnihilatesSubtree(Body, A->str(),
-                                             St.T->fill());
-            if (Sound && !Member)
-              ++Stats.WalkersRecovered;
-            else if (!Sound && Member)
-              ++Stats.WalkersRejected;
-          }
-          if (!Sound)
-            continue; // evaluated by SparseLoad instead
-        }
+        if ((LK == LevelKind::Sparse || LK == LevelKind::Banded) &&
+            !accessAnnihilatesSubtree(Body, A->str(), St.T->fill()))
+          continue; // evaluated by SparseLoad instead
         PlanLoop::WalkerRef W;
         W.AccessId = Id;
         W.Level = D;
@@ -539,11 +507,11 @@ private:
     // recursive compile above, so matching proceeds bottom-up and a
     // nest can absorb its already-fused children.
     MKSpecializeOptions SpecOpts;
-    SpecOpts.EnableBlocking = E.Options.EnableBlocking;
+    SpecOpts.EnableBlocking = E.Resolved.UseBlocked;
     SpecOpts.BlockWidth = E.Options.BlockWidth;
     SpecOpts.OutputTensors = &OutTensors;
     bool Specialized = false;
-    if (E.Options.EnableMicroKernels) {
+    if (E.Resolved.UseFused) {
       const uint64_t S0 = obs::nowNs();
       Specialized = specializeLoop(*Loop, AccessStates, SpecOpts);
       SpecializeNs += obs::nowNs() - S0;
@@ -681,16 +649,21 @@ private:
 // Executor
 //===----------------------------------------------------------------------===//
 
-std::string execOptionsSummary(const ExecOptions &O) {
+std::string structuralOptionsSummary(const ExecOptions &O) {
   std::string Out = "threads=" + std::to_string(O.Threads);
   Out += std::string(" schedule=") + schedulePolicyName(O.Schedule);
-  Out += std::string(" microkernels=") + (O.EnableMicroKernels ? "on" : "off");
-  Out += std::string(" blocking=") + (O.EnableBlocking ? "on" : "off");
   Out += " blockwidth=" + std::to_string(O.BlockWidth);
   Out += std::string(" walk=") + (O.EnableSparseWalk ? "on" : "off");
   Out += std::string(" lift=") + (O.EnableBoundLifting ? "on" : "off");
-  Out += std::string(" algebra=") + (O.AnnihilationAlgebra ? "on" : "off");
   Out += " privbudget=" + std::to_string(O.PrivatizationBudget);
+  // The resolved engine list, so equivalent requests (the empty default
+  // and its explicit spelling) render — and plan-cache-key — alike.
+  Out += " engines=" + enginesSummary(resolveEngines(O.Engines).Order);
+  return Out;
+}
+
+std::string execOptionsSummary(const ExecOptions &O) {
+  std::string Out = structuralOptionsSummary(O);
   Out += std::string(" validate=") +
          (O.ValidateInputs == ValidationLevel::None      ? "none"
           : O.ValidateInputs == ValidationLevel::Shallow ? "shallow"
@@ -699,21 +672,10 @@ std::string execOptionsSummary(const ExecOptions &O) {
     Out += " deadline_ms=" + std::to_string(O.DeadlineMs);
   if (O.Cancel)
     Out += " cancel=on";
-  if (O.MemoryBudgetBytes)
-    Out += " membudget=" + std::to_string(O.MemoryBudgetBytes);
   Out += std::string(" tracing=") + (O.Tracing ? "on" : "off");
-  // Appended only when off so default-option strings (and everything
-  // keyed on them) are unchanged.
+  // Appended only when off so default-option strings are unchanged.
   if (!O.GlobalCounterFlush)
     Out += " globalflush=off";
-  // The resolved engine preference list. Resolution (not the raw
-  // request) is rendered so equivalent requests — e.g. the legacy
-  // boolean shims and their explicit Engines spelling — summarize (and
-  // therefore plan-cache-key) identically.
-  Out += " engines=" +
-         enginesSummary(resolveEngines(O.Engines, O.EnableMicroKernels,
-                                       O.EnableBlocking)
-                            .Order);
   return Out;
 }
 
@@ -767,20 +729,12 @@ Status Executor::sanitizeOptions() {
                      " -> 8 (engine maximum)");
     Options.BlockWidth = 8;
   }
-  // Engine resolution: the one place requests (typed list or deprecated
-  // booleans) become the normalized preference order everything else
-  // reads. The resolved list is written back into Options.Engines and
-  // the booleans are re-derived from membership, so deprecated-shim
-  // callers and typed callers are indistinguishable downstream.
-  EngineResolution R = resolveEngines(Options.Engines,
-                                      Options.EnableMicroKernels,
-                                      Options.EnableBlocking);
-  for (const std::string &Note : R.Notes)
+  // Engine resolution: the one place the request becomes the
+  // normalized preference order everything else reads.
+  Resolved = resolveEngines(Options.Engines);
+  for (const std::string &Note : Resolved.Notes)
     Clamps.push_back(Note);
-  Engines = R.Order;
-  Options.Engines = R.Order;
-  Options.EnableMicroKernels = R.UseFused;
-  Options.EnableBlocking = R.UseBlocked;
+  Options.Engines = Resolved.Order;
   return Status::success();
 }
 
@@ -976,7 +930,7 @@ Status Executor::tryPrepare() {
   NativePlan.reset();
   NativeStatus = Status::success();
   NativeCompileNs = 0;
-  if (!Engines.empty() && Engines.front() == Engine::Native) {
+  if (Resolved.UseNative) {
     auto Emitted = emitNativeTU(*BodyPlan, *Ctx, K.Name);
     if (!Emitted) {
       NativeStatus = Emitted.takeStatus().withContext("kernel '" + K.Name +
@@ -1070,14 +1024,12 @@ Status Executor::rebind(const std::map<std::string, Tensor *> &NewBindings,
   // resolved list guarantees this; direct callers get a typed error
   // rather than a silently different engine.
   {
-    EngineResolution RunR = resolveEngines(RunOptions.Engines,
-                                           RunOptions.EnableMicroKernels,
-                                           RunOptions.EnableBlocking);
-    if (RunR.Order != Engines)
+    EngineResolution RunR = resolveEngines(RunOptions.Engines);
+    if (RunR.Order != Resolved.Order)
       return Status::error(ErrCode::InvalidArgument,
                            "rebind engine mismatch: prepared with " +
-                               enginesSummary(Engines) + ", run requests " +
-                               enginesSummary(RunR.Order))
+                               enginesSummary(Resolved.Order) +
+                               ", run requests " + enginesSummary(RunR.Order))
           .withContext("kernel '" + K.Name + "'");
   }
   // Structural identity: every originally-bound name needs a
@@ -1314,7 +1266,7 @@ Status Executor::tryRunBody(obs::ExecReport *Out) {
   // Reported whenever the native engine was requested: the compiler
   // wall time of this prepare, pinned at 0 on a warm .so-cache start
   // and on every rebound run (the warm-start acceptance signal).
-  if (!Engines.empty() && Engines.front() == Engine::Native)
+  if (Resolved.UseNative)
     Report.Phases.push_back({"native-compile", NativeCompileNs});
   if (Options.ValidateInputs != ValidationLevel::None)
     Report.Phases.push_back({"validate", ValidateNs});

@@ -44,16 +44,12 @@ struct RunControl;
 
 /// Execution options (ablation switches).
 struct ExecOptions {
-  /// Ordered engine-preference list (runtime/EngineRegistry.h) — the
-  /// typed replacement for the per-engine booleans below. Empty (the
-  /// default) derives the list from the deprecated EnableMicroKernels /
-  /// EnableBlocking shims, preserving their historical behavior and
-  /// plan-cache keys exactly; a non-empty list wins over the booleans.
-  /// tryPrepare() normalizes the list (EngineResolution) and writes the
-  /// derived membership back into the booleans so downstream consumers
-  /// see one consistent surface either way. {Engine::Native, ...} asks
-  /// for the JIT-compiled whole-body engine with graceful typed
-  /// fallback to the rest of the list (nativeStatus() records why).
+  /// Ordered engine-preference list (runtime/EngineRegistry.h). Empty
+  /// (the default) means blocked>fused>interp; {Engine::Interp} is the
+  /// pure interpreter (the oracle). tryPrepare() writes the normalized
+  /// list (EngineResolution) back here. {Engine::Native, ...} asks for
+  /// the JIT-compiled whole-body engine with graceful typed fallback to
+  /// the rest of the list (nativeStatus() records why).
   std::vector<Engine> Engines;
   /// On-disk directory for the native engine's compiled-.so cache
   /// (src/jit/NativeKernelCache.h). Empty resolves to the
@@ -79,46 +75,18 @@ struct ExecOptions {
   /// Auto resolves to triangle-balanced for loops the analysis marked
   /// triangular and static blocks otherwise.
   SchedulePolicy Schedule = SchedulePolicy::Auto;
-  /// Ceiling on privatized accumulator storage, in elements summed
-  /// over all tasks of one loop. A loop whose privatization would
-  /// exceed this is left sequential at that level; an inner annotated
-  /// loop (typically with disjoint writes) runs parallel instead.
+  /// Ceiling on privatized accumulator storage, in elements (of
+  /// sizeof(double) bytes) summed over all tasks of one loop — the one
+  /// bound on privatization memory. A loop whose privatization would
+  /// exceed it degrades instead of allocating: it stays sequential at
+  /// that level and an inner annotated loop (typically with disjoint
+  /// writes) runs parallel instead. Results are identical either way.
   size_t PrivatizationBudget = size_t(1) << 24;
-  /// DEPRECATED shim for Engines (one release): equivalent to listing
-  /// Engine::Fused. Run the plan-specialization pass
-  /// (runtime/MicroKernels.h): loop subtrees matching a known shape
-  /// execute as fused loops over raw level arrays instead of the
-  /// interpreted plan. Disabling is the ablation switch; outputs and
-  /// counters are identical either way. Ignored when Engines is
-  /// non-empty (and overwritten with the resolved membership).
-  bool EnableMicroKernels = true;
-  /// DEPRECATED shim for Engines (one release): equivalent to listing
-  /// Engine::Blocked. Panel-block the dense output mode of fused nests (the
-  /// ssyrk/syprd/ttm shape: an outer loop whose variable strides a
-  /// dense output dimension while the inner sparse walk it re-runs is
-  /// invariant in it). The blocked engine walks the fiber once per
-  /// fixed-width column panel instead of once per column, hoisting the
-  /// per-column operand values — and, when the output cell is invariant
-  /// across the walk, the accumulators themselves — into registers.
-  /// Bit-identical to the interpreter (panel lanes write disjoint cells,
-  /// per-cell fold order is preserved) with exact counter parity;
-  /// disabling is the ablation switch.
-  bool EnableBlocking = true;
   /// Output-panel width for the blocked engine. 0 picks the width at
   /// specialization from the panel mode's extent (8, or 4 for narrow
   /// modes); explicit values are clamped to [1, 8]. Results and the
   /// runtime counters are identical for every width.
   unsigned BlockWidth = 0;
-  /// Decide coordinate-skipping walker soundness with the algebraic
-  /// annihilation analysis (runtime/Annihilation.h): fill/annihilator
-  /// facts propagate per operator position and transitively through
-  /// scalar definitions, so walkers are registered exactly when the
-  /// level's fill provably annihilates every assignment it backs.
-  /// Disabling falls back to the legacy string-level membership check —
-  /// strictly for ablation: the legacy check both loses walkers
-  /// (workspace flushes under sparse-topped formats) and accepts
-  /// unsound ones (additive bodies over non-annihilating fills).
-  bool AnnihilationAlgebra = true;
   /// Structural integrity checks run by prepare() on every bound
   /// tensor before anything dereferences its level arrays (Shallow:
   /// O(levels) size/endpoint agreement; Deep: O(nnz) fiber scans; see
@@ -140,12 +108,6 @@ struct ExecOptions {
   /// any thread; a cancelled run aborts with ErrCode::Cancelled under
   /// the same discard-partial-results contract as deadlines.
   CancelToken *Cancel = nullptr;
-  /// Hard ceiling, in bytes, on privatized-accumulator storage for one
-  /// parallel loop (all tasks summed); 0 = unlimited. Distinct from
-  /// PrivatizationBudget (elements, a performance heuristic): this is
-  /// a resource bound — a loop that would exceed it degrades to the
-  /// inner disjoint-write parallelization instead of allocating.
-  size_t MemoryBudgetBytes = 0;
   /// Emit execution trace spans (observability/Trace.h): prepare()
   /// turns the process-wide tracing flag on, after which this executor
   /// (and anything else running) records phase, plan-loop, and pool
@@ -171,17 +133,8 @@ struct MicroKernelStats {
   uint64_t InnermostFused = 0;   ///< of which leaf (tight-engine) loops
   uint64_t GenericLoops = 0;     ///< loops left to the interpreter
 
-  /// Walker registration outcomes (plan compilation).
-  uint64_t WalkersRegistered = 0; ///< walkers bound to plan loops
-  /// Coordinate-skipping walkers the annihilation algebra proves sound
-  /// where the legacy membership check rejects (typically workspace
-  /// flushes: `y[j] += w` with `w` defined from the reduction
-  /// identity).
-  uint64_t WalkersRecovered = 0;
-  /// Candidates the algebra vetoes although membership would accept —
-  /// each one a latent wrong-results shape under the legacy check
-  /// (e.g. min-plus over a fill-0 operand).
-  uint64_t WalkersRejected = 0;
+  /// Walkers bound to plan loops at plan compilation.
+  uint64_t WalkersRegistered = 0;
 
   /// Specialized loops by driver shape (which fused engine iterates).
   uint64_t FusedRangeDrivers = 0;
@@ -221,8 +174,15 @@ struct MicroKernelStats {
   uint64_t BlockedAccumLoops = 0;
 };
 
-/// One-line rendering of \p O ("threads=4 schedule=auto ..."), recorded
-/// with benchmark JSON so BENCH_* entries are attributable across PRs.
+/// The structural options of \p O — every knob that changes the compiled
+/// plan ("threads=4 schedule=auto ... engines=blocked>fused>interp",
+/// with the engine list resolved). The PlanCache key and
+/// execOptionsSummary both render their option part through this.
+std::string structuralOptionsSummary(const ExecOptions &O);
+
+/// One-line rendering of \p O: the structural options followed by the
+/// per-request knobs. Recorded with benchmark JSON so BENCH_* entries
+/// are attributable across PRs.
 std::string execOptionsSummary(const ExecOptions &O);
 
 /// Compiles and runs one Kernel over bound tensors.
@@ -326,8 +286,8 @@ public:
   const MicroKernelStats &microKernelStats() const { return MKStats; }
 
   /// The normalized engine preference order tryPrepare() resolved from
-  /// Options.Engines / the deprecated booleans (empty before prepare).
-  const std::vector<Engine> &engines() const { return Engines; }
+  /// Options.Engines (empty before prepare).
+  const std::vector<Engine> &engines() const { return Resolved.Order; }
 
   /// Outcome of the native (JIT) engine build when Engine::Native led
   /// the preference list: ok() when the body runs natively; otherwise a
@@ -386,7 +346,7 @@ private:
   bool Prepared = false;
 
   /// Engine preference order resolved by sanitizeOptions().
-  std::vector<Engine> Engines;
+  EngineResolution Resolved;
   /// JIT-compiled whole-body plan (null unless Native resolved first
   /// AND the build succeeded); runBody() dispatches to it over
   /// BodyPlan. Holds the dlopened .so alive via a shared handle.

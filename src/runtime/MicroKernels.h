@@ -39,7 +39,7 @@
 ///    inner sparse walk is invariant in it tile that mode into
 ///    fixed-width column panels — one fiber walk per panel, per-lane
 ///    bound operands, and register-resident accumulators for the
-///    workspace/accumulator forms (ExecOptions::EnableBlocking /
+///    workspace/accumulator forms (Engine::Blocked, ExecOptions::
 ///    BlockWidth).
 ///
 /// Correctness contract: a fused loop is *bit-identical* to the generic

@@ -30,10 +30,6 @@ struct CounterSnapshot {
   uint64_t Reductions = 0;
   uint64_t ScalarOps = 0;
   uint64_t OutputWrites = 0;
-  uint64_t LoopsSpecialized = 0;
-  uint64_t LoopsGeneric = 0;
-  uint64_t WalkersRecovered = 0;
-  uint64_t WalkersRejected = 0;
   uint64_t FusedBlockedPanels = 0;
   uint64_t FusedBlockedStores = 0;
 };
@@ -48,17 +44,6 @@ struct ExecCounters {
   std::atomic<uint64_t> ScalarOps{0};
   /// Writes to output tensors (including replication copies).
   std::atomic<uint64_t> OutputWrites{0};
-  /// Plan loops specialized into fused micro-kernels at prepare()
-  /// (vs. left to the generic interpreter) — the ablation metric for
-  /// the runtime specialization layer.
-  std::atomic<uint64_t> LoopsSpecialized{0};
-  std::atomic<uint64_t> LoopsGeneric{0};
-  /// Coordinate-skipping walkers the algebraic annihilation analysis
-  /// proves sound where the legacy membership check could not
-  /// (vs. vetoes where membership would have unsoundly accepted) —
-  /// the ablation metric for the walker algebra.
-  std::atomic<uint64_t> WalkersRecovered{0};
-  std::atomic<uint64_t> WalkersRejected{0};
   /// Column panels executed by the blocked output engine and the
   /// streaming/writeback stores it actually issued. OutputWrites keeps
   /// the interpreter's per-element accounting (counter parity), so
@@ -72,10 +57,6 @@ struct ExecCounters {
     Reductions.store(0, std::memory_order_relaxed);
     ScalarOps.store(0, std::memory_order_relaxed);
     OutputWrites.store(0, std::memory_order_relaxed);
-    LoopsSpecialized.store(0, std::memory_order_relaxed);
-    LoopsGeneric.store(0, std::memory_order_relaxed);
-    WalkersRecovered.store(0, std::memory_order_relaxed);
-    WalkersRejected.store(0, std::memory_order_relaxed);
     FusedBlockedPanels.store(0, std::memory_order_relaxed);
     FusedBlockedStores.store(0, std::memory_order_relaxed);
   }
@@ -86,10 +67,6 @@ struct ExecCounters {
         Reductions.load(std::memory_order_relaxed),
         ScalarOps.load(std::memory_order_relaxed),
         OutputWrites.load(std::memory_order_relaxed),
-        LoopsSpecialized.load(std::memory_order_relaxed),
-        LoopsGeneric.load(std::memory_order_relaxed),
-        WalkersRecovered.load(std::memory_order_relaxed),
-        WalkersRejected.load(std::memory_order_relaxed),
         FusedBlockedPanels.load(std::memory_order_relaxed),
         FusedBlockedStores.load(std::memory_order_relaxed)};
   }

@@ -39,7 +39,7 @@ enum class ErrCode : uint8_t {
   InvalidOptions,    ///< ExecOptions values that cannot be clamped sanely
   Cancelled,         ///< the run's CancelToken was tripped
   DeadlineExceeded,  ///< ExecOptions::DeadlineMs elapsed mid-run
-  ResourceExhausted, ///< a hard memory budget refused an allocation
+  ResourceExhausted, ///< service queue full, or the JIT cannot build
   Internal,          ///< an invariant violation surfaced as a status
 };
 

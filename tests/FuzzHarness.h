@@ -332,8 +332,19 @@ inline Tensor run(const Kernel &K, FuzzCase &F,
   return Out;
 }
 
+/// The engine list of a fuzz cell's fused/blocking draws: interp alone
+/// without Fused, and Blocked only on top of Fused (so every seed keeps
+/// replaying the configuration its two boolean draws always selected).
+inline std::vector<Engine> cellEngines(bool Fused, bool Blocking) {
+  if (!Fused)
+    return {Engine::Interp};
+  if (!Blocking)
+    return {Engine::Fused, Engine::Interp};
+  return {Engine::Blocked, Engine::Fused, Engine::Interp};
+}
+
 /// Seed-derived parallel execution options: random thread count,
-/// schedule policy, and micro-kernel toggle (the parallel-runtime and
+/// schedule policy, and engine list (the parallel-runtime and
 /// specialization-layer fuzz pass).
 inline ExecOptions parallelOptions(uint64_t Seed) {
   Rng R(Seed ^ 0x9E3779B97F4A7C15ull);
@@ -346,8 +357,9 @@ inline ExecOptions parallelOptions(uint64_t Seed) {
   O.Schedule = Policies[R.nextIndex(4)];
   if (R.nextBool(0.25))
     O.PrivatizationBudget = 64; // exercise the inner-loop fallback
-  O.EnableMicroKernels = R.nextBool(0.5);
-  O.EnableBlocking = R.nextBool(0.5);
+  const bool Fused = R.nextBool(0.5);
+  const bool Blocking = R.nextBool(0.5);
+  O.Engines = cellEngines(Fused, Blocking);
   O.BlockWidth = BlockWidthSamples[R.nextIndex(NumBlockWidthSamples)];
   return O;
 }
@@ -383,7 +395,7 @@ inline void checkCompiledKernelsMatchOracle(uint64_t Seed) {
   ExecOptions Par = parallelOptions(Seed);
   SCOPED_TRACE(std::string("threads ") + std::to_string(Par.Threads) +
                " schedule " + schedulePolicyName(Par.Schedule) +
-               (Par.EnableMicroKernels ? " fused" : " interp"));
+               " engines " + enginesSummary(Par.Engines));
   Tensor NaivePar = run(R.Naive, F, Par);
   Tensor OptPar = run(R.Optimized, F, Par);
   EXPECT_LT(Tensor::maxAbsDiff(NaivePar, Ref), 1e-8) << "naive-parallel";
@@ -453,16 +465,14 @@ inline void checkCellMatrix(const Kernel &K, FuzzCase &F,
                         {"fused-1-altblock", true, 1, !Blk, WdAlt}};
   CounterSnapshot FirstSnap;
   for (const Cell &C : Cells) {
-    SCOPED_TRACE(std::string(C.Name) +
-                 (C.Fused ? (C.Blocking ? " blocking width=" +
-                                              std::to_string(C.Width)
-                                        : std::string(" noblocking"))
-                          : std::string()));
     ExecOptions O;
-    O.EnableMicroKernels = C.Fused;
+    O.Engines = cellEngines(C.Fused, C.Blocking);
     O.Threads = C.Threads;
-    O.EnableBlocking = C.Blocking;
     O.BlockWidth = C.Width;
+    SCOPED_TRACE(std::string(C.Name) + " engines " +
+                 enginesSummary(O.Engines) +
+                 (C.Fused ? " width=" + std::to_string(C.Width)
+                          : std::string()));
     CounterSnapshot Snap;
     Tensor Out = runCounted(K, F, O, Snap);
     ASSERT_EQ(Out.vals().size(), Ref.vals().size());
@@ -502,12 +512,11 @@ inline void checkMicroKernelsBitIdentical(uint64_t Seed) {
   SCOPED_TRACE(caseTrace(F));
   CompileResult R = compileEinsum(F.E);
   ExecOptions Interp, Fused;
-  Interp.EnableMicroKernels = false;
-  Fused.EnableMicroKernels = true;
+  Interp.Engines = {Engine::Interp};
   // Blocking must be invisible to this differential too: randomize the
   // toggle and panel width from the seed.
   Rng BR(Seed ^ 0xB10C6ED5EEDull);
-  Fused.EnableBlocking = BR.nextBool(0.5);
+  Fused.Engines = cellEngines(true, BR.nextBool(0.5));
   Fused.BlockWidth =
       BlockWidthSamples[BR.nextIndex(NumBlockWidthSamples)];
   for (const Kernel *K : {&R.Naive, &R.Optimized}) {
@@ -640,7 +649,7 @@ inline void checkLutDifferential(uint64_t Seed) {
   SCOPED_TRACE("lut-injected: " + K.Body->str(0));
   ExecOptions OracleOpts;
   OracleOpts.EnableSparseWalk = false;
-  OracleOpts.EnableMicroKernels = false;
+  OracleOpts.Engines = {Engine::Interp};
   Tensor Ref = run(K, F, OracleOpts);
   checkCellMatrix(K, F, Ref, Seed, (Seed % 8) == 0);
 }

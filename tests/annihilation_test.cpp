@@ -3,11 +3,11 @@
 /// Unit suite for the algebraic annihilation analysis
 /// (runtime/Annihilation.h) and its integration with walker
 /// registration: per-operator-position algebra cases on hand-built
-/// statement trees, plus end-to-end kernels pinned by the new
-/// WalkersRecovered / WalkersRejected counters — an additive body whose
-/// fill still annihilates recovers a coordinate-skipping walker the
-/// legacy membership check rejects, and a non-annihilating fill must
-/// not, with the fused and interpreted paths bit-identical either way.
+/// statement trees, plus end-to-end kernels pinned by their exact
+/// registered walkers, sparse drivers and sparse reads — a workspace
+/// flush (even under an additive body whose fill annihilates) keeps its
+/// coordinate-skipping walker, and a non-annihilating fill registers
+/// none, with the fused and interpreted paths bit-identical either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,16 +96,13 @@ TEST(AnnihilationAlgebra, PropagatesThroughScalarDefs) {
                                                      acc("x", {"a"})})),
        Stmt::assign(acc("O", {"b"}), OpKind::Add, Expr::scalar("t"))});
   EXPECT_TRUE(accessAnnihilatesSubtree(S, keyA(), 0.0));
-  EXPECT_TRUE(accessBacksEveryAssignment(S, keyA()))
-      << "membership also accepts this shape";
 }
 
 TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
-  // The workspace pattern the legacy membership check cannot see:
+  // The workspace pattern a plain membership test cannot see:
   //   w = 0; for a: w += A[a,b] * x[a]; O[b] += w
   // Under the hypothesis, w provably stays at the Add identity, so the
-  // flush is a no-op — but w's refs are empty (literal def), so
-  // membership rejects.
+  // flush is a no-op although the flush never reads A.
   StmtPtr S = Stmt::block(
       {Stmt::defScalar("w", Expr::lit(0.0)),
        Stmt::loop("a", Stmt::assign(Expr::scalar("w"), OpKind::Add,
@@ -114,7 +111,6 @@ TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
                                                 acc("x", {"a"})}))),
        Stmt::assign(acc("O", {"b"}), OpKind::Add, Expr::scalar("w"))});
   EXPECT_TRUE(accessAnnihilatesSubtree(S, keyA(), 0.0));
-  EXPECT_FALSE(accessBacksEveryAssignment(S, keyA()));
   // The min-plus flavor of the same shape (additive body).
   StmtPtr M = Stmt::block(
       {Stmt::defScalar("w", Expr::lit(Inf)),
@@ -124,7 +120,6 @@ TEST(AnnihilationAlgebra, WorkspaceFlushRecovered) {
                                                 acc("x", {"a"})}))),
        Stmt::assign(acc("O", {"b"}), OpKind::Min, Expr::scalar("w"))});
   EXPECT_TRUE(accessAnnihilatesSubtree(M, keyA(), Inf));
-  EXPECT_FALSE(accessBacksEveryAssignment(M, keyA()));
   // A workspace seeded off the identity is not provably transparent.
   StmtPtr Bad = Stmt::block(
       {Stmt::defScalar("w", Expr::lit(3.0)),
@@ -219,8 +214,8 @@ RunResult runKernel(const Kernel &K, std::map<std::string, Tensor> &Inputs,
 
 /// The workspace kernel over a sparse-topped (DCSR-style) matrix:
 ///   for b: { w = init; for a: w R= A[a,b] C x[a]; O[b] R= w }
-/// The loop-b walker on A's top Sparse level is exactly the shape the
-/// membership check rejects (the flush reads a literal-seeded scalar).
+/// The loop-b walker on A's top Sparse level is sound only because the
+/// flush reads a scalar seeded with the reduction identity.
 Einsum workspaceEinsum(OpKind Reduce, const char *Combine, double Fill) {
   Einsum E = parseEinsum(
       "ws", std::string("O[b] ") +
@@ -237,9 +232,9 @@ Einsum workspaceEinsum(OpKind Reduce, const char *Combine, double Fill) {
 }
 
 /// The same contraction with loop order (a, b) and no symmetry or
-/// workspace: the walker candidate on (transposed) A's top level exists
-/// and the membership check accepts it, so a fill that does not
-/// annihilate must show up as a WalkersRejected veto.
+/// workspace: the walker candidates on A exist, and A backs every
+/// assignment, so only the fill decides — a fill that does not
+/// annihilate must register no walker at all.
 Einsum plainEinsum(OpKind Reduce, const char *Combine, double Fill) {
   Einsum E = parseEinsum(
       "plain", std::string("O[b] ") +
@@ -256,10 +251,17 @@ Einsum plainEinsum(OpKind Reduce, const char *Combine, double Fill) {
 
 } // namespace
 
+/// Exact plan/run outcomes of one compiled kernel (naive or optimized).
+struct Pins {
+  uint64_t WalkersRegistered;
+  uint64_t FusedSparseDrivers;
+  uint64_t SparseReads;
+};
+
 class AnnihilationEndToEnd : public ::testing::Test {
 protected:
   void runMatrix(const Einsum &E, OpKind Reduce, double Fill,
-                 bool ExpectRecovered, bool ExpectRejected) {
+                 const Pins &Naive, const Pins &Optimized) {
     Rng R(11);
     const int64_t N = 24;
     TensorFormat Dcsr;
@@ -278,8 +280,9 @@ protected:
     CompileResult CR = compileEinsum(E);
     for (const Kernel *K : {&CR.Naive, &CR.Optimized}) {
       SCOPED_TRACE(K == &CR.Naive ? "naive" : "optimized");
+      const Pins &P = K == &CR.Naive ? Naive : Optimized;
       ExecOptions Interp, Fused;
-      Interp.EnableMicroKernels = false;
+      Interp.Engines = {Engine::Interp};
       RunResult RI = runKernel(*K, Inputs, "O", Init, Interp);
       RunResult RF = runKernel(*K, Inputs, "O", Init, Fused);
       // Correctness against the dense oracle and exact parity between
@@ -290,54 +293,39 @@ protected:
         EXPECT_EQ(RI.Out.vals()[I], RF.Out.vals()[I]) << "element " << I;
       EXPECT_EQ(RI.Counters.SparseReads, RF.Counters.SparseReads);
       EXPECT_EQ(RI.Counters.Reductions, RF.Counters.Reductions);
-      if (ExpectRecovered)
-        EXPECT_GT(RF.Stats.WalkersRecovered, 0u)
-            << "algebra must recover a walker membership rejects";
-      else
-        EXPECT_EQ(RF.Stats.WalkersRecovered, 0u);
-      if (ExpectRejected)
-        EXPECT_GT(RF.Stats.WalkersRejected, 0u)
-            << "algebra must veto a walker membership accepts";
-      // The legacy mode registers strictly fewer walkers on recovered
-      // shapes (and performs more sparse reads through the locator).
-      if (ExpectRecovered) {
-        ExecOptions Legacy;
-        Legacy.AnnihilationAlgebra = false;
-        RunResult RL = runKernel(*K, Inputs, "O", Init, Legacy);
-        EXPECT_LT(RL.Stats.WalkersRegistered, RF.Stats.WalkersRegistered);
-        EXPECT_GT(RL.Counters.SparseReads, RF.Counters.SparseReads);
-        for (size_t I = 0; I < RL.Out.vals().size(); ++I)
-          EXPECT_EQ(RL.Out.vals()[I], RF.Out.vals()[I])
-              << "legacy mode is slower, never different, on sound shapes";
-      }
+      // Walker registration is engine-independent; only the fused
+      // engine turns walkers into sparse drivers.
+      EXPECT_EQ(RI.Stats.WalkersRegistered, P.WalkersRegistered);
+      EXPECT_EQ(RF.Stats.WalkersRegistered, P.WalkersRegistered);
+      EXPECT_EQ(RI.Stats.FusedSparseDrivers, 0u);
+      EXPECT_EQ(RF.Stats.FusedSparseDrivers, P.FusedSparseDrivers);
+      EXPECT_EQ(RF.Counters.SparseReads, P.SparseReads);
     }
   }
 };
 
 TEST_F(AnnihilationEndToEnd, MultiplicativeWorkspaceRecoversWalker) {
   // Arithmetic (+, *) with fill 0: annihilating — the acceptance-
-  // criteria shape. Membership loses the top-level walker (workspace
-  // flush); the algebra recovers it.
+  // criteria shape. The top-level walker survives the workspace flush.
   runMatrix(workspaceEinsum(OpKind::Add, "*", 0.0), OpKind::Add, 0.0,
-            /*ExpectRecovered=*/true, /*ExpectRejected=*/false);
+            Pins{2, 2, 126}, Pins{4, 4, 64});
 }
 
 TEST_F(AnnihilationEndToEnd, AdditiveMinPlusWorkspaceRecoversWalker) {
   // min-plus with fill inf: an *additive* body whose fill still
-  // annihilates. The string check rejects the walker; the algebra
-  // proves w stays at +inf and recovers it.
+  // annihilates. The algebra proves w stays at +inf and keeps the
+  // walker.
   runMatrix(workspaceEinsum(OpKind::Min, "+", Inf), OpKind::Min, Inf,
-            /*ExpectRecovered=*/true, /*ExpectRejected=*/false);
+            Pins{2, 2, 126}, Pins{4, 4, 64});
 }
 
 TEST_F(AnnihilationEndToEnd, AdditiveMinPlusFillZeroIsVetoed) {
-  // min-plus with fill 0: membership accepts the walker (the access
-  // backs every assignment), but 0 does not absorb addition — skipping
-  // would drop real min candidates. The algebra vetoes it and the
-  // result still matches the dense oracle.
+  // min-plus with fill 0: the access backs every assignment, but 0
+  // does not absorb addition — skipping would drop real min
+  // candidates. The algebra vetoes every walker (all reads go through
+  // the locator) and the result still matches the dense oracle.
   Einsum E = plainEinsum(OpKind::Min, "+", 0.0);
-  runMatrix(E, OpKind::Min, 0.0,
-            /*ExpectRecovered=*/false, /*ExpectRejected=*/true);
+  runMatrix(E, OpKind::Min, 0.0, Pins{0, 0, 576}, Pins{0, 0, 576});
 }
 
 TEST_F(AnnihilationEndToEnd, MaxTimesFillZeroIsVetoed) {
@@ -345,14 +333,14 @@ TEST_F(AnnihilationEndToEnd, MaxTimesFillZeroIsVetoed) {
   // the Max identity, so the walker must stay off.
   Einsum E = plainEinsum(OpKind::Max, "*", 0.0);
   E.ReduceOp = OpKind::Max;
-  runMatrix(E, OpKind::Max, 0.0,
-            /*ExpectRecovered=*/false, /*ExpectRejected=*/true);
+  runMatrix(E, OpKind::Max, 0.0, Pins{0, 0, 576}, Pins{0, 0, 576});
 }
 
 TEST(AnnihilationEndToEnd2, RecoveredWalkerKeepsPlansFullyFused) {
-  // The recovered top-level walker re-enables coordinate-driven
-  // compilation of the whole nest: every loop of the optimized DCSR
-  // workspace kernel specializes, with sparse drivers on both levels.
+  // The top-level walker kept across the workspace flush enables
+  // coordinate-driven compilation of the whole nest: every loop of the
+  // optimized DCSR workspace kernel specializes, with sparse drivers on
+  // both levels.
   Rng R(5);
   const int64_t N = 24;
   TensorFormat Dcsr;
@@ -365,8 +353,8 @@ TEST(AnnihilationEndToEnd2, RecoveredWalkerKeepsPlansFullyFused) {
   CompileResult CR = compileEinsum(E);
   RunResult RR = runKernel(CR.Optimized, Inputs, "O", Init, ExecOptions());
   EXPECT_EQ(RR.Stats.GenericLoops, 0u);
-  EXPECT_GT(RR.Stats.FusedSparseDrivers, 0u);
-  EXPECT_GT(RR.Stats.WalkersRecovered, 0u);
-  // The global counter mirrors the per-executor stat.
-  EXPECT_EQ(RR.Counters.WalkersRecovered, RR.Stats.WalkersRecovered);
+  EXPECT_EQ(RR.Stats.SpecializedLoops, 4u);
+  EXPECT_EQ(RR.Stats.WalkersRegistered, 4u);
+  EXPECT_EQ(RR.Stats.FusedSparseDrivers, 4u);
+  EXPECT_EQ(RR.Counters.SparseReads, 66u);
 }

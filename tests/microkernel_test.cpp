@@ -79,17 +79,20 @@ void expectCountersEqual(const CounterSnapshot &G,
 
 /// Runs \p K twice — micro-kernels off and on — over the same bindings
 /// produced by \p Bind, asserting bit-identical outputs and exact
-/// counter parity. Returns the fused executor's specialization stats.
+/// counter parity. Returns the fused executor's specialization stats
+/// (and, when \p FusedCounters is set, its run's counters).
 MicroKernelStats
 compareEngines(const Kernel &K,
                const std::function<void(Executor &, Tensor &)> &Bind,
-               Tensor OutTemplate, const char *What) {
+               Tensor OutTemplate, const char *What,
+               CounterSnapshot *FusedCounters = nullptr) {
   MicroKernelStats Stats;
   Tensor OutGeneric = OutTemplate, OutFused = std::move(OutTemplate);
   CounterSnapshot SnapGeneric, SnapFused;
   for (bool Fused : {false, true}) {
     ExecOptions O;
-    O.EnableMicroKernels = Fused;
+    if (!Fused)
+      O.Engines = {Engine::Interp};
     Executor E(K, O);
     Tensor &Out = Fused ? OutFused : OutGeneric;
     Bind(E, Out);
@@ -103,6 +106,8 @@ compareEngines(const Kernel &K,
   }
   expectBitIdentical(OutGeneric, OutFused, What);
   expectCountersEqual(SnapGeneric, SnapFused, What);
+  if (FusedCounters)
+    *FusedCounters = SnapFused;
   return Stats;
 }
 
@@ -283,22 +288,18 @@ TEST(MicroKernels, AblationSwitchReportsStats) {
   Tensor X = denseVec({1, 1, 1, 1});
   Tensor Y = Tensor::dense({4});
   ExecOptions Off;
-  Off.EnableMicroKernels = false;
+  Off.Engines = {Engine::Interp};
   Executor EOff(spmvKernel(), Off);
   EOff.bind("A", &A).bind("x", &X).bind("y", &Y);
   EOff.prepare();
   EXPECT_EQ(EOff.microKernelStats().SpecializedLoops, 0u);
   EXPECT_EQ(EOff.microKernelStats().GenericLoops, 2u);
 
-  counters().reset();
   Executor EOn(spmvKernel());
   EOn.bind("A", &A).bind("x", &X).bind("y", &Y);
   EOn.prepare();
   EXPECT_EQ(EOn.microKernelStats().SpecializedLoops, 2u);
   EXPECT_EQ(EOn.microKernelStats().GenericLoops, 0u);
-  // The global ablation counters see the same split.
-  EXPECT_EQ(counters().LoopsSpecialized, 2u);
-  EXPECT_EQ(counters().LoopsGeneric, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -495,16 +496,21 @@ TEST(MicroKernels, SparseLoadOperandFusesWithExactCounters) {
   SC.add({2}, -1.5);
   Tensor S = Tensor::fromCoo(std::move(SC),
                              TensorFormat{{LevelKind::Sparse}});
+  CounterSnapshot Counters;
   MicroKernelStats St = compareEngines(
       K,
       [&](Executor &E, Tensor &Out) {
         E.bind("A", &A).bind("s", &S).bind("y", &Out);
       },
-      Tensor::dense({4}), "sparse-load operand");
+      Tensor::dense({4}), "sparse-load operand", &Counters);
   EXPECT_GT(St.FusedSparseLoadFactors, 0u);
   EXPECT_EQ(St.GenericLoops, 0u);
-  EXPECT_GT(St.WalkersRejected, 0u)
-      << "additive fill-0 body must not skip coordinates";
+  // Only the loop-j walker on A's Dense top level registers; the
+  // additive fill-0 body must not skip coordinates of A's Sparse level
+  // or of s.
+  EXPECT_EQ(St.WalkersRegistered, 1u);
+  EXPECT_EQ(St.FusedSparseDrivers, 0u);
+  EXPECT_EQ(Counters.SparseReads, 32u);
 }
 
 TEST(MicroKernels, ThreeWalkerIntersectionBitIdentical) {
@@ -773,7 +779,7 @@ TEST(BlockedEngine, SsyrkBitIdenticalAcrossPanelWidths) {
   for (const Kernel *K : {&F.R.Naive, &F.R.Optimized}) {
     SCOPED_TRACE(K == &F.R.Naive ? "naive" : "optimized");
     ExecOptions Interp;
-    Interp.EnableMicroKernels = false;
+    Interp.Engines = {Engine::Interp};
     CounterSnapshot SI, SB;
     MicroKernelStats StI, StB;
     Tensor Ref = F.run(*K, Interp, SI, StI);
@@ -787,11 +793,11 @@ TEST(BlockedEngine, SsyrkBitIdenticalAcrossPanelWidths) {
       expectBitIdentical(Ref, Out, "blocked ssyrk");
       expectCountersEqual(SI, SB, "blocked ssyrk");
     }
-    // Ablation: EnableBlocking=false must not install the engine (and
-    // the unblocked nest is still bit-identical — the original
+    // Ablation: without Engine::Blocked the engine is not installed
+    // (and the unblocked nest is still bit-identical — the original
     // contract).
     ExecOptions Off;
-    Off.EnableBlocking = false;
+    Off.Engines = {Engine::Fused, Engine::Interp};
     Tensor Out = F.run(*K, Off, SB, StB);
     EXPECT_EQ(StB.BlockedLoops, 0u);
     EXPECT_EQ(SB.FusedBlockedPanels, 0u);
@@ -843,7 +849,7 @@ TEST(BlockedEngine, EmptyColumnsAndEmptyFiber) {
   for (unsigned W : {0u, 2u, 8u}) {
     SCOPED_TRACE("width " + std::to_string(W));
     ExecOptions Interp, Blk;
-    Interp.EnableMicroKernels = false;
+    Interp.Engines = {Engine::Interp};
     Blk.BlockWidth = W;
     for (const Kernel *K : {&R.Naive, &R.Optimized}) {
       CounterSnapshot SI, SB;
@@ -898,7 +904,7 @@ TEST(BlockedEngine, WorkspaceNestAccumulatesInRegisters) {
     return Out;
   };
   ExecOptions Interp;
-  Interp.EnableMicroKernels = false;
+  Interp.Engines = {Engine::Interp};
   CounterSnapshot SI, SB;
   MicroKernelStats StI, StB;
   Tensor Ref = RunIt(Interp, SI, StI);

@@ -660,8 +660,6 @@ TEST(ExecOptionsSanitize, AbsurdThreadCountClampsToHardwareMultiple) {
 TEST(ExecOptionsSanitize, OversizedBlockWidthClampsToEngineMaximum) {
   SanitizeSetup S;
   ExecOptions O;
-  O.EnableMicroKernels = true;
-  O.EnableBlocking = true;
   O.BlockWidth = 4096;
   Executor E(S.C.Optimized, O);
   S.bindInto(E);
@@ -677,8 +675,6 @@ TEST(ExecOptionsSanitize, SupportedValuesRecordNoClamps) {
   SanitizeSetup S;
   ExecOptions O;
   O.Threads = 4;
-  O.EnableMicroKernels = true;
-  O.EnableBlocking = true;
   O.BlockWidth = 8;
   Executor E(S.C.Optimized, O);
   S.bindInto(E);

@@ -78,7 +78,8 @@ std::vector<SmokeCase> makeCases() {
 Tensor runOnce(const Kernel &K, SmokeCase &C, bool Fused,
                MicroKernelStats &Stats) {
   ExecOptions O;
-  O.EnableMicroKernels = Fused;
+  if (!Fused)
+    O.Engines = {Engine::Interp};
   Executor E(K, O);
   Tensor Out = Tensor::dense(C.OutDims, 0.0);
   Out.setAllValues(C.OutInit);
@@ -367,12 +368,11 @@ TEST(PerfSmoke, SpecializerFiresOnRunLengthAndBandedDrivers) {
 
 TEST(PerfSmoke, WalkersRecoveredOnGroupedTwoSparseOperandKernels) {
   // Grouped symmetric kernels over two sparse operands, with A in a
-  // sparse-topped (DCSR) format: the workspace flush used to cost the
-  // outer walker under the string-level membership check. The algebra
-  // must recover it (WalkersRecovered > 0), the mismatched accesses of
-  // the second sparse operand must bind as SparseLoad factors inside
-  // the fused bodies, and the plans stay fully fused and bit-identical
-  // to the interpreter.
+  // sparse-topped (DCSR) format: the workspace flush must not cost the
+  // outer walker (pinned walker and sparse-driver counts), the
+  // mismatched accesses of the second sparse operand must bind as
+  // SparseLoad factors inside the fused bodies, and the plans stay
+  // fully fused and bit-identical to the interpreter.
   Rng R(20260801);
   const int64_t N = 48;
   TensorFormat Dcsr{{LevelKind::Sparse, LevelKind::Sparse}};
@@ -393,15 +393,26 @@ TEST(PerfSmoke, WalkersRecoveredOnGroupedTwoSparseOperandKernels) {
     SCOPED_TRACE(K == &R2.Naive ? "naive" : "optimized");
     MicroKernelStats FusedStats, GenericStats;
     Tensor Generic = runOnce(*K, C, /*Fused=*/false, GenericStats);
+    counters().reset();
+    setCountersEnabled(true);
     Tensor Fused = runOnce(*K, C, /*Fused=*/true, FusedStats);
-    if (K == &R2.Optimized) {
+    const uint64_t SparseReads = counters().snapshot().SparseReads;
+    // Walker registration is engine-independent.
+    EXPECT_EQ(GenericStats.WalkersRegistered, FusedStats.WalkersRegistered);
+    if (K == &R2.Naive) {
+      EXPECT_EQ(FusedStats.WalkersRegistered, 3u);
+      EXPECT_EQ(FusedStats.FusedSparseDrivers, 2u);
+      EXPECT_EQ(SparseReads, 209u);
+    } else {
       // Only the grouped symmetric lowering has the workspace flush
-      // (losing the top-level walker under membership) and the
-      // mismatched second-operand accesses (x[j] vs x[i]) that must
-      // bind as SparseLoad factors; the naive nest walks both operands
+      // (which must keep the top-level walker) and the mismatched
+      // second-operand accesses (x[j] vs x[i]) that must bind as
+      // SparseLoad factors; the naive nest walks both operands
       // directly.
-      EXPECT_GT(FusedStats.WalkersRecovered, 0u)
+      EXPECT_EQ(FusedStats.WalkersRegistered, 5u)
           << "the workspace flush must not cost the sparse-topped walker";
+      EXPECT_EQ(FusedStats.FusedSparseDrivers, 4u);
+      EXPECT_EQ(SparseReads, 405u);
       EXPECT_GT(FusedStats.FusedSparseLoadFactors, 0u)
           << "second sparse operand must fuse via the chained locator";
       EXPECT_GT(FusedStats.PrebindSlots, 0u)
@@ -418,12 +429,12 @@ TEST(PerfSmoke, WalkersRecoveredOnGroupedTwoSparseOperandKernels) {
 TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
   // The register/cache-blocked output engine (the ssyrk memory-wall
   // fix): the optimized ssyrk plan must install blocked nests
-  // (BlockedLoops > 0) while staying fully fused (LoopsGeneric == 0),
+  // (BlockedLoops > 0) while staying fully fused (GenericLoops == 0),
   // and actually execute panels at run time (the FusedBlockedPanels
   // global counter). The SpMM-style workspace shape must take the
-  // register-accumulator form (BlockedAccumLoops > 0). The
-  // EnableBlocking=false ablation must keep everything on the
-  // unblocked nests with zero panels.
+  // register-accumulator form (BlockedAccumLoops > 0). The ablation
+  // without Engine::Blocked must keep everything on the unblocked nests
+  // with zero panels.
   Rng R(20260801);
   const int64_t N = 40, Rank = 6;
 
@@ -459,7 +470,8 @@ TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
     for (bool Blocking : {true, false}) {
       SCOPED_TRACE(Blocking ? "blocking on" : "blocking off");
       ExecOptions O;
-      O.EnableBlocking = Blocking;
+      if (!Blocking)
+        O.Engines = {Engine::Fused, Engine::Interp};
       Executor E(R2.Optimized, O);
       Tensor Out = Tensor::dense(C.OutDims, 0.0);
       for (auto &[Name, T] : C.Inputs)

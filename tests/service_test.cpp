@@ -147,7 +147,7 @@ TEST(PlanCache, KeyIsSensitiveToStructureNotValues) {
   Threaded.Threads = 4;
   EXPECT_NE(K1, PlanCache::makeKey(W1.E, bindings(W1, O1), Threaded));
   ExecOptions NoMk;
-  NoMk.EnableMicroKernels = false;
+  NoMk.Engines = {Engine::Interp};
   EXPECT_NE(K1, PlanCache::makeKey(W1.E, bindings(W1, O1), NoMk));
 
   // ...but the per-request knobs do not.
